@@ -56,16 +56,15 @@ def _cjson(z):
     return [z.real, z.imag]
 
 
-def parse_alpha(text: str) -> complex:
-    try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ParseError(f"--alpha expects RE or RE,IM, got {text!r}")
+def parse_complex(text: str, flag: str) -> complex:
+    """RE or RE,IM as a complex number; anything else is a ParseError naming `flag`."""
+    parts = text.split(",")
+    if len(parts) <= 2:
+        try:
+            return complex(*(float(x) for x in parts))
+        except ValueError:
+            pass
+    raise ParseError(f"{flag} expects RE or RE,IM, got {text!r}")
 
 
 def parse_tols(items) -> Tolerances:
@@ -76,18 +75,24 @@ def parse_tols(items) -> Tolerances:
         name, value = item.split("=", 1)
         if name not in ("deg", "cls", "scalar", "det", "rel"):
             raise ParseError(f"unknown tolerance {name!r}")
-        tol = tol.with_(**{name: float(value)})
+        try:
+            tol = tol.with_(**{name: float(value)})
+        except ValueError:
+            raise ParseError(f"--tol {name} expects a number, got {value!r}") from None
     return tol
 
 
 def parse_sizes(text: str) -> list:
     out = []
-    for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            if ".." in part:
+                lo, hi = part.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise ParseError(f"--n expects sizes like 5..12 or 6,7, got {text!r}") from None
     return out
 
 
@@ -113,7 +118,7 @@ def _write(out_path, text: str):
 def cmd_integrals(args) -> int:
     tol = parse_tols(args.tol)
     p = _load_polygon(args.polygon)
-    rep = integrals(p, parse_alpha(args.alpha), tol)
+    rep = integrals(p, parse_complex(args.alpha, "--alpha"), tol)
     _write(args.out, json.dumps(rep.to_json(), indent=2, sort_keys=True))
     return 0
 
@@ -121,7 +126,7 @@ def cmd_integrals(args) -> int:
 def cmd_relate(args) -> int:
     tol = parse_tols(args.tol)
     p = _load_polygon(args.polygon)
-    alpha = parse_alpha(args.alpha)
+    alpha = parse_complex(args.alpha, "--alpha")
     rel = alpha_related(p, alpha, tol)
     partners = [polygon_to_json(q) for q in rel.partners]
     if rel.classification is RelationCount.INFINITE and rel.sampler is not None:
@@ -150,7 +155,7 @@ def cmd_relate(args) -> int:
 def cmd_orbit(args) -> int:
     tol = parse_tols(args.tol)
     p = _load_polygon(args.polygon)
-    alpha = parse_alpha(args.alpha)
+    alpha = parse_complex(args.alpha, "--alpha")
     policy = BranchPolicy(args.branch)
     n = p.n
     header = ["step"]
@@ -197,10 +202,9 @@ def cmd_orbit(args) -> int:
 
 def cmd_exceptional(args) -> int:
     tol = parse_tols(args.tol)
-    alpha = parse_alpha(args.alpha)
+    alpha = parse_complex(args.alpha, "--alpha")
     if args.c:
-        vals = [complex(*map(float, part.split(","))) if "," in part else complex(float(part))
-                for part in args.c.split(";")]
+        vals = [parse_complex(part, "--c") for part in args.c.split(";")]
         c = CoordVector(Chart.C, vals)
     else:
         c = cross_ratios(_load_polygon(args.polygon), tol)
@@ -246,15 +250,9 @@ def cmd_frieze(args) -> int:
 
 def cmd_tetrahedron(args) -> int:
     tol = parse_tols(args.tol)
-    pts = []
-    for part in args.points.split(";"):
-        if part == "inf":
-            pts.append(ProjectivePoint.of("inf"))
-        else:
-            bits = part.split(",")
-            pts.append(ProjectivePoint.of(complex(float(bits[0]),
-                                                  float(bits[1]) if len(bits) > 1 else 0.0)))
-    c01 = parse_alpha(args.c01)
+    pts = [ProjectivePoint.of(part if part == "inf" else parse_complex(part, "--points"))
+           for part in args.points.split(";")]
+    c01 = parse_complex(args.c01, "--c01")
     t = consistent_labeling(pts, c01, tol)
     rep = labeling_report(t, tol)
     out = {
@@ -262,7 +260,7 @@ def cmd_tetrahedron(args) -> int:
         "residuals": rep,
     }
     if args.v0 is not None:
-        cc = cube_complete(t, parse_alpha(args.v0), tol)
+        cc = cube_complete(t, parse_complex(args.v0, "--v0"), tol)
         out["cube"] = {
             "points": [{"num": _cjson(q.num), "den": _cjson(q.den)} for q in cc["points"]],
             "face_residual": cc["face_residual"],
@@ -294,7 +292,7 @@ def cmd_render(args) -> int:
     tol = parse_tols(args.tol)
     polys = [_load_polygon(args.polygon)]
     if args.alpha is not None and args.steps > 0:
-        alpha = parse_alpha(args.alpha)
+        alpha = parse_complex(args.alpha, "--alpha")
         rel = alpha_related(polys[0], alpha, tol)
         if rel.classification is RelationCount.INFINITE:
             import random
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", metavar="NAME=VALUE")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--field", choices=("real", "complex"), default=None)
 
     p = sub.add_parser("integrals", help="conserved quantities of a polygon")
     common(p)

@@ -7,11 +7,11 @@ c-variables, so no square roots enter; windows are 1-based and may run past n
 
 from __future__ import annotations
 
-import cmath
 from math import comb
 from typing import Iterator, Sequence
 
 from .errors import KOutOfRange, WindowOrderViolation, WindowTooLarge, ZeroCoordinate
+from .polygon import Chart, CoordVector, _c_to_a
 from .projective import Matrix2
 
 EULER_WINDOW_LIMIT = 24
@@ -245,14 +245,7 @@ def identity_suite(c: Sequence[complex], closed: bool | None = None, tol: float 
 
     if n % 2 == 1:
         # relcont: D_{i,j-1} = K_{i,j} / (a_i .. a_j) with c_i = 1/(a_i a_{i+1})
-        prod = c_product(c)
-        s = cmath.sqrt(prod)
-        a = []
-        for i in range(1, n + 1):
-            num = 1.0 + 0j
-            for k in range(i + 1, i + n - 1, 2):
-                num *= c[(k - 1) % n]
-            a.append(num / s)
+        a = _c_to_a(CoordVector(Chart.C, c)).values
         worst = 0.0
         for i in range(1, n + 1):
             for j in range(i, i + 3):

@@ -111,6 +111,10 @@ class BranchDiscontinuity(CrdError):
     pass
 
 
+class NoOrbitReadyPolygon(CrdError):
+    pass
+
+
 # --- poisson -----------------------------------------------------------------
 
 class DenominatorVanishes(CrdError):

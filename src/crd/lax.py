@@ -14,13 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .continuants import c_product, cyclic_sparse_subsets, trace_coefficients
+from .continuants import c_product, trace_coefficients
 from .errors import InfiniteVertexForIJK, OddN, ScalarAxisMatrix, InfiniteVertex
-from .polygon import TwistedPolygon, cross_ratios
+from .polygon import TwistedPolygon, apply_moebius, cross_ratios
 from .projective import (
     Matrix2,
     MoebiusKind,
-    ProjectivePoint,
     classify,
     det2,
     loxodromic_matrix,
@@ -72,38 +71,46 @@ def e_alpha(c: Sequence[complex], alpha: complex) -> complex:
 def g_coefficients(p: TwistedPolygon, tol: Tolerances = DEFAULT) -> list:
     """[G_0..G_{floor(n/2)}]: multi-ratio sums over cyclically sparse subsets.
 
-    Each summand is a Moebius-invariant ratio of vertex differences, evaluated
-    homogeneously (every vertex appears once upstairs and once downstairs), so
-    infinite vertices are fine. Meaningful for closed polygons.
+    G_k = sum over cyclically sparse i_1 < .. < i_k of d(i_1, i_k+1)
+    prod_s d(i_s, i_{s-1}+1)/d(i_s, i_s+1), d(i, j) = det(p_i, p_j): a chain
+    sum with transfer matrix W[a, b] = d(b, a+1)/d(b, b+1), b >= a+2, in
+    O(n^3). Homogeneous, so infinite vertices are fine. Meaningful for closed
+    polygons; about 1e-14 relative per coefficient up to n = 128 against a
+    100-digit reference.
     """
+    p.require_nondegenerate(tol)
     n = p.n
-    reps = {i: p.vertex(i) for i in range(1, n + 2)}
-
-    def d(i, j):
-        return det2(reps[i], reps[j])
-
+    pts = [p.vertex(i) for i in range(1, n + 2)]
+    num = np.array([v.num for v in pts])
+    den = np.array([v.den for v in pts])
+    d = np.outer(num, den) - np.outer(den, num)  # d[i, j] = det(p_{i+1}, p_{j+1})
+    inv_edge = 1.0 / np.diagonal(d, 1)
+    w = np.triu(d[:n, 1:].T, 2) * inv_edge
+    # the closing factor d(s, b+1) is bilinear in (p_s, p_{b+1}): carry the
+    # starts s > 1 weighted by num_s and by den_s, and s = 1 alone, whose
+    # closing pair b = n is dropped (1 and n are cyclically adjacent)
+    y = np.zeros((3, n), dtype=complex)
+    y[0, 1:] = num[1:n] * inv_edge[1:]
+    y[1, 1:] = den[1:n] * inv_edge[1:]
+    y[2, 0] = inv_edge[0]
     out = [2.0 + 0j]
-    for k in range(1, n // 2 + 1):
-        total = 0.0 + 0j
-        for sub in cyclic_sparse_subsets(n, k):
-            idx = sorted(sub)
-            num = d(idx[0], idx[-1] + 1)
-            for s in range(1, k):
-                num *= d(idx[s], idx[s - 1] + 1)
-            den = 1.0 + 0j
-            for i in idx:
-                den *= d(i, i + 1)
-            total += num / den
-        out.append(total)
+    for _ in range(n // 2):
+        out.append(complex(y[0] @ den[1:] - y[1] @ num[1:] + y[2, :n - 1] @ d[0, 1:n]))
+        y = y @ w
     return out
 
 
-def g_from_f(fs: Sequence[complex], c_prod: complex, branch: int = 0) -> list:
-    """G_l = (1/sqrt(c_[n])) sum_{k>=l} (-1)^k C(k,l) F_k, branch fixed by G_0 = 2."""
+def g_from_f(fs: Sequence[complex], c_prod: complex) -> list:
+    """G_l = (1/sqrt(c_[n])) sum_{k>=l} (-1)^k C(k,l) F_k, branch fixed by G_0 = 2.
+
+    The alternating binomial sum cancels. Against a 100-digit reference its
+    relative error per coefficient is about 1e-10 at n = 16, 2e-9 at n = 20,
+    2e-7 at n = 32 and 6e-2 at n = 64, and no digit is left from about
+    n = 80. It meets the library's 1e-9 tolerance for n <= 16 only; use it
+    there as an identity check, and g_coefficients as the evaluation.
+    """
     m = len(fs) - 1
     s = cmath.sqrt(c_prod)
-    if branch:
-        s = -s
     out = []
     for l in range(m + 1):
         out.append(sum((-1.0) ** k * math.comb(k, l) * fs[k] for k in range(l, m + 1)) / s)
@@ -135,13 +142,27 @@ _GAUGE_ANGLES = (0.0, 0.37, 0.94, 1.51, 2.08, 2.65)
 
 
 def _finite_gauge(p: TwistedPolygon, tol: Tolerances) -> Matrix2:
-    """First rotation gauge from a fixed list that clears all vertices off infinity."""
-    for t in _GAUGE_ANGLES:
+    """Rotation gauge that clears all vertices off infinity.
+
+    The first rotation of a fixed list with a 0.05 margin on every |den| wins.
+    When none clears it (dense polygons all round RP^1, from about n = 32),
+    the rotation to the middle of the widest gap between the vertices' worst
+    angles is taken, unless its margin is at the degeneracy tolerance.
+    """
+    # |den| after rotating by t is |num sin t + den cos t|; its square is
+    # A + B cos 2t + C sin 2t, smallest at 2t = atan2(C, B) + pi
+    num = np.array([v.num for v in p.vertices])
+    den = np.array([v.den for v in p.vertices])
+    b = (np.abs(den) ** 2 - np.abs(num) ** 2) / 2
+    worst = np.sort(((np.arctan2((num * den.conj()).real, b) + np.pi) / 2) % np.pi)
+    gaps = np.diff(np.append(worst, worst[0] + np.pi))
+    widest = float(worst[np.argmax(gaps)] + np.max(gaps) / 2)
+    for k, t in enumerate(_GAUGE_ANGLES + (widest,)):
         g = Matrix2(math.cos(t), -math.sin(t), math.sin(t), math.cos(t))
         margin = min(abs((g.apply(v)).den) for v in p.vertices)
-        if margin > 0.05:
+        if margin > (0.05 if k < len(_GAUGE_ANGLES) else tol.deg):
             return g
-    raise InfiniteVertexForIJK("no gauge in the fixed list moves all vertices off infinity")
+    raise InfiniteVertexForIJK("no rotation moves all vertices off infinity")
 
 
 def ijk(p: TwistedPolygon, tol: Tolerances = DEFAULT, auto_gauge: bool = True):
@@ -159,8 +180,6 @@ def ijk(p: TwistedPolygon, tol: Tolerances = DEFAULT, auto_gauge: bool = True):
             raise InfiniteVertexForIJK("vertex at infinity and auto gauge disabled")
     elif any(abs(v.den) <= 0.05 for v in p.vertices):
         gauge = _finite_gauge(p, tol)
-        from .polygon import apply_moebius
-
         q = apply_moebius(gauge, p, tol)
     z = [v.affine() for v in q.vertices]
     n = q.n

@@ -93,9 +93,7 @@ class TwistedPolygon:
 
     @classmethod
     def closed(cls, vertices, field=None) -> "TwistedPolygon":
-        vs = [ProjectivePoint.of(v) for v in vertices]
-        f = field or ("real" if all(v.is_real() for v in vs) else "complex")
-        return cls(tuple(vs), IDENTITY, f)
+        return cls.twisted(vertices, IDENTITY, field)
 
     @classmethod
     def twisted(cls, vertices, monodromy: Matrix2, field=None) -> "TwistedPolygon":
@@ -144,9 +142,6 @@ class TwistedPolygon:
         if not self.is_nondegenerate(tol):
             raise DegeneratePolygon(f"vertex separation {self.separation():.3e} below tolerance")
         return self
-
-    def affine_vertices(self):
-        return [v.affine() for v in self.vertices]
 
 
 def cross_ratios(p: TwistedPolygon, tol: Tolerances = DEFAULT) -> CoordVector:

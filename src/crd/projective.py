@@ -188,16 +188,6 @@ class Matrix2:
 IDENTITY = Matrix2.identity()
 
 
-def apply(m: Matrix2, z: ProjectivePoint, tol: Tolerances = DEFAULT) -> ProjectivePoint:
-    if m.is_singular(tol):
-        raise SingularMatrix("applying a singular matrix")
-    return m.apply(z)
-
-
-def compose(m: Matrix2, n: Matrix2) -> Matrix2:
-    return m @ n
-
-
 def normalized_trace(m: Matrix2) -> complex:
     return m.normalized_trace()
 

@@ -7,6 +7,7 @@ import cmath
 import math
 import random
 from .dynamics import RelationCount, alpha_related
+from .errors import NoOrbitReadyPolygon
 from .polygon import TwistedPolygon
 from .projective import Matrix2
 from .tolerances import DEFAULT, Tolerances
@@ -70,7 +71,7 @@ def orbit_ready_polygon(rng: random.Random, n: int, field: str, alpha: complex,
         p = random_closed_polygon(rng, n, field, tol)
         if alpha_related(p, alpha, tol).classification is RelationCount.TWO:
             return p
-    raise RuntimeError(f"no orbit-ready polygon found for n={n}, alpha={alpha}")
+    raise NoOrbitReadyPolygon(f"no orbit-ready polygon found for n={n}, alpha={alpha}")
 
 
 def random_related_pair(rng: random.Random, n: int, alpha: complex,

@@ -47,6 +47,28 @@ class TestIntegrals:
         bad.write_text("{nope")
         assert main(["integrals", str(bad), "--alpha", "-1"]) == 1
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_closed_64_gon(self, tmp_path, field):
+        # jittered angles all the way round: on RP^1 no listed gauge clears
+        # every vertex off infinity, and G has 33 coefficients
+        import random
+
+        rng = random.Random(64)
+        theta = [2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / 64 for j in range(64)]
+        if field == "real":
+            verts = [{"num": [math.sin(t / 2), 0.0], "den": [math.cos(t / 2), 0.0]} for t in theta]
+        else:
+            verts = [[math.cos(t), math.sin(t)] for t in theta]
+        path = tmp_path / "p64.json"
+        path.write_text(json.dumps({"field": field, "n": 64, "vertices": verts,
+                                    "monodromy": None}))
+        out = tmp_path / "ints.json"
+        assert main(["integrals", str(path), "--alpha", "2", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert len(data["G"]) == 33 and data["G"][0] == [2.0, 0.0]
+        assert abs(data["G"][1][0] - 64.0) < 1e-9
+        assert (data["ijk_gauge"] is not None) == (field == "real")
+
     def test_degenerate_polygon_exits_two(self, tmp_path):
         data = {"field": "real", "n": 4,
                 "vertices": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
@@ -163,6 +185,36 @@ class TestVerify:
 
     def test_unknown_suite_exits_one(self):
         assert main(["verify", "--suite", "nope", "--n", "5"]) == 1
+
+
+class TestParseErrors:
+    """Malformed numbers exit 1 with one `error:` line, never a traceback."""
+
+    def test_malformed_sizes(self, capsys):
+        assert main(["verify", "--suite", "lax", "--n", "5..x"]) == 1
+        assert capsys.readouterr().err == "error: --n expects sizes like 5..12 or 6,7, got '5..x'\n"
+
+    def test_malformed_c_vector(self, capsys):
+        assert main(["exceptional", "--c", "0.38;0.38,x;0.38", "--alpha", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: --c expects RE or RE,IM, got '0.38,x'\n"
+
+    def test_malformed_points(self, capsys):
+        assert main(["tetrahedron", "--points", "0.3,0.1;1.7;nope;inf", "--c01", "2"]) == 1
+        assert capsys.readouterr().err == "error: --points expects RE or RE,IM, got 'nope'\n"
+
+    def test_no_orbit_ready_polygon_is_a_domain_error(self, monkeypatch, capsys):
+        # every draw classifies as ZERO, so the sampler gives up inside `verify`
+        import crd.sampling
+        from crd.dynamics import RelationCount
+
+        class Zero:
+            classification = RelationCount.ZERO
+
+        monkeypatch.setenv("CRD_NUM_THREADS", "1")
+        monkeypatch.setattr(crd.sampling, "alpha_related", lambda *args: Zero())
+        assert main(["verify", "--suite", "bianchi", "--n", "5"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "domain error: NoOrbitReadyPolygon: no orbit-ready polygon found for n=5")
 
 
 class TestRender:

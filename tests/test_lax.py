@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crd.continuants import c_product, trace_coefficients
+from crd.continuants import c_product, cyclic_sparse_subsets, trace_coefficients
 from crd.dynamics import xi_field
 from crd.errors import OddN
 from crd.lax import (
@@ -25,11 +25,85 @@ from crd.lax import (
     trace_polynomial_value,
 )
 from crd.polygon import TwistedPolygon, apply_moebius, cross_ratios, index_shift
-from crd.projective import Matrix2, chordal
+from crd.projective import Matrix2, ProjectivePoint, chordal, det2
 
 
 def unit_circle_samples(count):
     return [cmath.exp(2j * math.pi * (k + 0.21) / count) for k in range(count)]
+
+
+def g_by_enumeration(p):
+    """G_k by their definition: one term per cyclically sparse k-subset
+    (Lucas-number many), so only usable as an oracle for small n."""
+    n = p.n
+    reps = {i: p.vertex(i) for i in range(1, n + 2)}
+
+    def d(i, j):
+        return det2(reps[i], reps[j])
+
+    out = [2.0 + 0j]
+    for k in range(1, n // 2 + 1):
+        total = 0.0 + 0j
+        for sub in cyclic_sparse_subsets(n, k):
+            idx = sorted(sub)
+            num = d(idx[0], idx[-1] + 1)
+            for s in range(1, k):
+                num *= d(idx[s], idx[s - 1] + 1)
+            den = 1.0 + 0j
+            for i in idx:
+                den *= d(i, i + 1)
+            total += num / den
+        out.append(total)
+    return out
+
+
+def g_reference_mp(p, dps=60):
+    """G_k to `dps` digits, independently of the chain sum: the trace of the
+    product of the steps [[0, lam c_i], [-1, 1]] is sum_k (-1)^k F_k lam^k,
+    and its Taylor shift to lam = 1 + mu, over sqrt(c_[n]), is sum_l G_l mu^l
+    (g_from_f's formula, which cancels too much in floating point)."""
+    mp = pytest.importorskip("mpmath")
+    n = p.n
+    with mp.workdps(dps):
+        vs = [(mp.mpc(v.num), mp.mpc(v.den)) for v in p.vertices]
+
+        def d(i, j):
+            a, b = vs[i % n], vs[j % n]
+            return a[0] * b[1] - b[0] * a[1]
+
+        c = [d(i, i - 1) * d(i + 1, i + 2) / (d(i, i + 2) * d(i + 1, i - 1)) for i in range(n)]
+        zero = mp.mpc(0)
+
+        def add(u, v):
+            return [(u[t] if t < len(u) else zero) + (v[t] if t < len(v) else zero)
+                    for t in range(max(len(u), len(v)))]
+
+        # entries of the running product as coefficient lists in lam;
+        # a row [x, y] times [[0, lam c], [-1, 1]] is [-y, lam c x + y]
+        m = [[[mp.mpc(1)], []], [[], [mp.mpc(1)]]]
+        for ci in c:
+            for row in m:
+                row[0], row[1] = [-a for a in row[1]], add([zero] + [ci * a for a in row[0]], row[1])
+        trace = add(add(m[0][0], m[1][1]), [zero] * (n // 2 + 1))
+        root = mp.sqrt(mp.fprod(c))
+        g = [mp.fsum(mp.binomial(k, l) * trace[k] for k in range(l, n // 2 + 1)) / root
+             for l in range(n // 2 + 1)]
+        if abs(g[0] - 2) > abs(g[0] + 2):
+            g = [-x for x in g]
+        return [complex(x) for x in g]
+
+
+def full_circle_real(n, seed=0):
+    """Real closed n-gon with jittered angles all the way round RP^1, written
+    homogeneously as (sin t/2, cos t/2) so a vertex at infinity is harmless."""
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    return TwistedPolygon.closed(
+        [ProjectivePoint(math.sin(t / 2), math.cos(t / 2)) for t in theta], field="real")
+
+
+def max_rel_error(g, ref):
+    return max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(g, ref))
 
 
 class TestLaxMatrix:
@@ -99,6 +173,53 @@ class TestGCoefficients:
         g1 = g_coefficients(p)
         g2 = g_coefficients(apply_moebius(psi, p).normalized_closed())
         assert max(abs(a - b) for a, b in zip(g1, g2)) < 1e-9
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_enumeration(self, make_closed, field):
+        for n in range(4, 17):
+            p = make_closed(n, field)
+            ref = g_by_enumeration(p)
+            g = g_coefficients(p)
+            assert len(g) == len(ref)
+            assert max(abs(a - b) / abs(b) for a, b in zip(g, ref)) <= 1e-13, n
+
+    def test_infinite_vertex(self):
+        p = TwistedPolygon.closed([0.0, 1.0, 2.5, "inf", -3.0, -1.0, -0.4])
+        assert max_rel_error(g_coefficients(p), g_by_enumeration(p)) <= 1e-13
+
+    def test_twisted_matches_enumeration(self, make_twisted):
+        # p_{n+1} = M p_1 differs from p_1, so the pair (1, n) is really excluded
+        for n in (8, 9):
+            p = make_twisted(n)
+            assert max_rel_error(g_coefficients(p), g_by_enumeration(p)) <= 1e-13
+
+
+@pytest.fixture(params=[("complex", 32), ("real", 32), ("complex", 64), ("real", 64)],
+                ids=lambda fn: f"{fn[0]}{fn[1]}")
+def large_closed(request, make_closed):
+    field, n = request.param
+    return make_closed(n) if field == "complex" else full_circle_real(n, seed=n)
+
+
+class TestGLargeN:
+    def test_trace_expansion(self, large_closed):
+        # tr A_lam = sum_k G_k (lam - 1)^k, independent of any G formula
+        g = g_coefficients(large_closed)
+        for lam in (1.05, 1 + 0.04j, 0.97 - 0.02j):
+            lhs = lax_matrix(large_closed, lam).trace()
+            terms = [gk * (lam - 1.0) ** k for k, gk in enumerate(g)]
+            assert abs(lhs - sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
+
+    def test_mpmath_reference(self, large_closed):
+        ref = g_reference_mp(large_closed)
+        assert max_rel_error(g_coefficients(large_closed), ref) <= 1e-13
+
+    def test_g_from_f_usable_range(self, make_closed):
+        # the binomial transform cancels; its docstring promises 1e-9 up to n = 16
+        p = make_closed(16)
+        c = cross_ratios(p).values
+        g = g_from_f(trace_coefficients(c), c_product(c))
+        assert max_rel_error(g, g_reference_mp(p)) <= 1e-9
 
 
 class TestRestrictionRelations:
@@ -189,6 +310,28 @@ class TestIJK:
         p = TwistedPolygon.closed([0.0, 1.0, "inf", -1.0])
         i_s, j_s, k_s, gauge = ijk(p)
         assert gauge is not None
+        # the first listed rotation with a 0.05 margin is kept
+        assert gauge.entrywise_distance(Matrix2(math.cos(0.37), -math.sin(0.37),
+                                                math.sin(0.37), math.cos(0.37))) == 0.0
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_gauge_for_dense_full_circle(self, n):
+        # no listed rotation clears 0.05 here; the widest-gap rotation must,
+        # and the gauge-invariant IK - J^2 = n^2/4 - n/2 - G_2 must hold in it
+        p = full_circle_real(n, seed=n)
+        i_s, j_s, k_s, gauge = ijk(p)
+        assert gauge is not None
+        # the margin min |den| is within 10 % of the best over a fine grid of rotations
+        num = np.array([v.num for v in p.vertices])
+        den = np.array([v.den for v in p.vertices])
+        t = np.linspace(0.0, np.pi, 4001)[:, None]
+        rot_num = np.cos(t) * num - np.sin(t) * den
+        rot_den = np.sin(t) * num + np.cos(t) * den
+        best = np.max(np.min(np.abs(rot_den) / np.maximum(np.abs(rot_num), np.abs(rot_den)), axis=1))
+        assert min(abs(gauge.apply(v).den) for v in p.vertices) >= 0.9 * best
+        lhs = i_s * k_s - j_s * j_s
+        rhs = n * n / 4.0 - n / 2.0 - g_coefficients(p)[2]
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
 class TestAxis:
